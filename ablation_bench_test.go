@@ -112,36 +112,6 @@ func BenchmarkAblationTripleFileStore(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationCancelPolicy compares the two §4.1 convergence
-// policies: immediate cancellation wastes running members but finishes
-// sooner; drain-and-use keeps them and refines the final SVD.
-func BenchmarkAblationCancelPolicy(b *testing.B) {
-	truth := ablationSubspace(5, 150, 3)
-	for _, policy := range []workflow.DrainPolicy{workflow.CancelImmediately, workflow.DrainAndUse} {
-		name := "cancel-immediately"
-		if policy == workflow.DrainAndUse {
-			name = "drain-and-use"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := ablationConfig(128)
-			cfg.SVDBatch = 8
-			cfg.Policy = policy
-			cfg.Criterion = core.ConvergenceCriterion{MinSimilarity: 0.3, MaxVarianceChange: 0.9}
-			runner := ablationRunner(truth, 6, time.Millisecond)
-			for i := 0; i < b.N; i++ {
-				res, err := workflow.RunParallel(context.Background(), cfg, make([]float64, 150), runner)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(float64(res.MembersUsed), "members-used")
-					b.ReportMetric(float64(res.MembersCancelled), "members-cancelled")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationJobArrays quantifies the scheduler-strain argument
 // for job arrays versus one submission per perturbation index.
 func BenchmarkAblationJobArrays(b *testing.B) {

@@ -2,35 +2,35 @@ package esse_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
-	"esse/internal/core"
 	"esse/internal/realtime"
 )
 
 // TestEnsembleSchedulingOrderIndependence pins the determinism contract
 // the esselint analyzers exist to protect: a fixed-master-seed twin
 // experiment must produce bit-identical science whether the ensemble
-// runs on one worker or eight. Member randomness derives from (seed,
-// member index), the accumulator canonicalizes anomaly columns by
-// member index, so the only remaining scheduling freedom is completion
-// order — which must not leak into results.
-//
-// Convergence cancellation is disabled (MinSimilarity 2 is
-// unattainable) so both runs use the identical member set; with
-// adaptive cancellation the set itself depends on timing, which is the
-// documented trade-off of the paper's convergence-driven workflow.
+// runs on one worker, two or eight. Member randomness derives from
+// (seed, member index), the accumulator canonicalizes anomaly columns
+// by member index, and the engine admits members in index order, so
+// completion order must not leak into results — not even through
+// convergence-driven cancellation, which is left on here with the
+// real-time default criterion so the pool grows and stops adaptively.
 func TestEnsembleSchedulingOrderIndependence(t *testing.T) {
 	type outcome struct {
 		analysis []float64
 		sigma    []float64
 		rmse     []float64
+		rho      []float64
+		members  []int
 	}
 	run := func(workers int) outcome {
 		cfg := integrationConfig()
-		cfg.Ensemble.Criterion = core.ConvergenceCriterion{MinSimilarity: 2, MaxVarianceChange: 0}
+		cfg.Ensemble.Criterion = realtime.DefaultConfig().Ensemble.Criterion
 		cfg.Ensemble.InitialSize = 8
-		cfg.Ensemble.MaxSize = 8
+		cfg.Ensemble.MaxSize = 32
+		cfg.Ensemble.SVDBatch = 4
 		cfg.Ensemble.Workers = workers
 		sys, err := realtime.NewSystem(cfg)
 		if err != nil {
@@ -46,26 +46,35 @@ func TestEnsembleSchedulingOrderIndependence(t *testing.T) {
 		}
 		for _, r := range results {
 			out.rmse = append(out.rmse, r.RMSEForecastT, r.RMSEAnalysisT)
+			out.rho = append(out.rho, r.Ensemble.Rho)
+			out.members = append(out.members, r.Ensemble.MembersUsed, r.Ensemble.SVDRounds)
+			out.members = append(out.members, r.Ensemble.MemberIndices...)
+			out.members = append(out.members, r.Ensemble.PoolSizes...)
 		}
 		return out
 	}
 
 	serial := run(1)
-	parallel := run(8)
-
-	bitEqual := func(name string, a, b []float64) {
-		t.Helper()
-		if len(a) != len(b) {
-			t.Fatalf("%s: length %d vs %d", name, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Errorf("%s[%d]: Workers=1 gives %v, Workers=8 gives %v", name, i, a[i], b[i])
-				return
+	for _, workers := range []int{2, 8} {
+		parallel := run(workers)
+		bitEqual := func(name string, a, b []float64) {
+			t.Helper()
+			if len(a) != len(b) {
+				t.Fatalf("%s: length %d vs %d", name, len(a), len(b))
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Errorf("%s[%d]: Workers=1 gives %v, Workers=%d gives %v", name, i, a[i], workers, b[i])
+					return
+				}
 			}
 		}
+		bitEqual("analysis", serial.analysis, parallel.analysis)
+		bitEqual("sigma", serial.sigma, parallel.sigma)
+		bitEqual("rmse", serial.rmse, parallel.rmse)
+		bitEqual("rho", serial.rho, parallel.rho)
+		if !slices.Equal(serial.members, parallel.members) {
+			t.Errorf("members: Workers=1 gives %v, Workers=%d gives %v", serial.members, workers, parallel.members)
+		}
 	}
-	bitEqual("analysis", serial.analysis, parallel.analysis)
-	bitEqual("sigma", serial.sigma, parallel.sigma)
-	bitEqual("rmse", serial.rmse, parallel.rmse)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"esse/internal/linalg"
@@ -16,19 +15,19 @@ import (
 // perturbation order and instead keeps per-column bookkeeping, which is
 // exactly what Indices records.
 //
-// Snapshots (Anomalies, Indices, EnsembleMean) are returned in CANONICAL
-// member-index order, independent of arrival order: floating-point
-// results must not depend on goroutine scheduling, or chaotic model
-// dynamics amplify bit-level differences into irreproducible forecasts.
+// Columns live in slots indexed by member, so snapshots (Anomalies,
+// Indices, EnsembleMean) come out in CANONICAL member-index order,
+// independent of arrival order: floating-point results must not depend
+// on goroutine scheduling, or chaotic model dynamics amplify bit-level
+// differences into irreproducible forecasts.
 //
 // Accumulator is safe for concurrent use: the many forecast tasks of the
 // MTC pool feed it directly.
 type Accumulator struct {
 	mu      sync.Mutex
 	central []float64
-	cols    [][]float64
-	indices []int
-	seen    map[int]bool
+	slots   [][]float64 // slots[i] is member i's anomaly; nil = absent
+	n       int         // non-nil slots
 }
 
 // NewAccumulator creates an accumulator for the given central forecast.
@@ -36,30 +35,34 @@ type Accumulator struct {
 func NewAccumulator(central []float64) *Accumulator {
 	c := make([]float64, len(central))
 	copy(c, central)
-	return &Accumulator{central: c, seen: make(map[int]bool)}
+	return &Accumulator{central: c}
 }
 
 // Add differences one member forecast against the central forecast and
-// appends it as a new anomaly column. The member index is recorded for
-// bookkeeping; adding the same index twice is an error (a lost-and-
-// retried task must be deduplicated by the caller's tracker, but this is
-// the last line of defense).
+// stores it as that member's anomaly column. Adding the same index twice
+// is an error (a lost-and-retried task must be deduplicated by the
+// caller's tracker, but this is the last line of defense).
 func (a *Accumulator) Add(index int, state []float64) error {
 	if len(state) != len(a.central) {
 		return fmt.Errorf("core: member %d has dim %d, central has %d", index, len(state), len(a.central))
 	}
+	if index < 0 {
+		return fmt.Errorf("core: negative member index %d", index)
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.seen[index] {
+	if index < len(a.slots) && a.slots[index] != nil {
 		return fmt.Errorf("core: member %d already accumulated", index)
 	}
-	a.seen[index] = true
 	col := make([]float64, len(state))
 	for i, v := range state {
 		col[i] = v - a.central[i]
 	}
-	a.cols = append(a.cols, col)
-	a.indices = append(a.indices, index)
+	for len(a.slots) <= index {
+		a.slots = append(a.slots, nil)
+	}
+	a.slots[index] = col
+	a.n++
 	return nil
 }
 
@@ -67,7 +70,7 @@ func (a *Accumulator) Add(index int, state []float64) error {
 func (a *Accumulator) Len() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.cols)
+	return a.n
 }
 
 // Indices returns the member indices in canonical (sorted) order,
@@ -75,31 +78,13 @@ func (a *Accumulator) Len() int {
 func (a *Accumulator) Indices() []int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]int, len(a.indices))
-	copy(out, a.indices)
-	sort.Ints(out)
-	return out
-}
-
-// ArrivalOrder returns the member indices in completion order (pure
-// bookkeeping; snapshots never depend on it).
-func (a *Accumulator) ArrivalOrder() []int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]int, len(a.indices))
-	copy(out, a.indices)
-	return out
-}
-
-// sortedPermLocked returns column positions ordered by member index.
-// Callers must hold the mutex.
-func (a *Accumulator) sortedPermLocked() []int {
-	perm := make([]int, len(a.indices))
-	for i := range perm {
-		perm[i] = i
+	out := make([]int, 0, a.n)
+	for idx, col := range a.slots {
+		if col != nil {
+			out = append(out, idx)
+		}
 	}
-	sort.Slice(perm, func(x, y int) bool { return a.indices[perm[x]] < a.indices[perm[y]] })
-	return perm
+	return out
 }
 
 // Anomalies snapshots the current anomaly matrix (stateDim × n), with
@@ -109,14 +94,17 @@ func (a *Accumulator) sortedPermLocked() []int {
 func (a *Accumulator) Anomalies() *linalg.Dense {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	n := len(a.cols)
-	m := len(a.central)
-	out := linalg.NewDense(m, n)
-	for j, src := range a.sortedPermLocked() {
-		col := a.cols[src]
+	n := a.n
+	out := linalg.NewDense(len(a.central), n)
+	j := 0
+	for _, col := range a.slots {
+		if col == nil {
+			continue
+		}
 		for i, v := range col {
 			out.Data[i*n+j] = v
 		}
+		j++
 	}
 	return out
 }
@@ -128,14 +116,14 @@ func (a *Accumulator) EnsembleMean() []float64 {
 	defer a.mu.Unlock()
 	mean := make([]float64, len(a.central))
 	copy(mean, a.central)
-	if len(a.cols) == 0 {
+	if a.n == 0 {
 		return mean
 	}
 	// Sum in canonical member order so the floating-point result is
 	// independent of completion order.
-	inv := 1 / float64(len(a.cols))
-	for _, src := range a.sortedPermLocked() {
-		for i, v := range a.cols[src] {
+	inv := 1 / float64(a.n)
+	for _, col := range a.slots {
+		for i, v := range col {
 			mean[i] += v * inv
 		}
 	}

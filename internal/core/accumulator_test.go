@@ -36,6 +36,16 @@ func TestAccumulatorRejectsDuplicateIndex(t *testing.T) {
 	}
 }
 
+func TestAccumulatorRejectsNegativeIndex(t *testing.T) {
+	acc := NewAccumulator([]float64{0})
+	if err := acc.Add(-1, []float64{1}); err == nil {
+		t.Fatal("negative member index accepted")
+	}
+	if acc.Len() != 0 {
+		t.Fatalf("Len = %d after rejection", acc.Len())
+	}
+}
+
 func TestAccumulatorRejectsWrongDim(t *testing.T) {
 	acc := NewAccumulator([]float64{0, 0})
 	if err := acc.Add(0, []float64{1}); err == nil {
@@ -51,20 +61,12 @@ func TestAccumulatorOutOfOrderIndices(t *testing.T) {
 		}
 	}
 	// Snapshots are canonical (sorted by member index) so results never
-	// depend on completion order; the raw arrival order stays available
-	// for bookkeeping.
+	// depend on completion order.
 	got := acc.Indices()
 	want := []int{1, 2, 7, 9}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("Indices = %v, want canonical order %v", got, want)
-		}
-	}
-	arrival := acc.ArrivalOrder()
-	wantArrival := []int{7, 2, 9, 1}
-	for i := range wantArrival {
-		if arrival[i] != wantArrival[i] {
-			t.Fatalf("ArrivalOrder = %v, want %v", arrival, wantArrival)
 		}
 	}
 	// Anomaly columns align with the canonical indices.

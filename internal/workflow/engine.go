@@ -6,6 +6,16 @@
 // growth, convergence-driven cancellation, deadline tolerance and
 // failure tolerance.
 //
+// Members may finish in any order, but both engines admit them to the
+// ensemble in member-index order: member i joins only once every lower
+// index has settled (completed, or failed and abandoned after retries).
+// SVD rounds, the convergence decision, growth and the final subspace
+// therefore depend only on which indices completed, never on which
+// finished first, so with a runner that derives its randomness from the
+// index the Result is bit-identical for any Workers value. The one
+// timing-dependent path is cancellation by the clock or the caller
+// (Config.Deadline, ctx): whatever prefix had settled by then is used.
+//
 // The five ESSE-vs-high-throughput differences the paper enumerates map
 // to engine features as follows:
 //
@@ -38,19 +48,6 @@ import (
 // so results are independent of scheduling order.
 type MemberRunner func(ctx context.Context, index int) ([]float64, error)
 
-// DrainPolicy selects what happens to in-flight members once the error
-// subspace has converged (Section 4.1 discusses both variants).
-type DrainPolicy int
-
-const (
-	// CancelImmediately cancels queued and running members and uses the
-	// subspace from the converging SVD.
-	CancelImmediately DrainPolicy = iota
-	// DrainAndUse stops launching new members but lets running ones
-	// finish, then performs a final SVD over everything available.
-	DrainAndUse
-)
-
 // Config parameterizes an ESSE workflow run.
 type Config struct {
 	// InitialSize is N, the first ensemble size attempted.
@@ -61,19 +58,22 @@ type Config struct {
 	GrowthFactor float64
 	// MaxRank caps the error subspace rank (0 = ensemble size).
 	MaxRank int
-	// SVDBatch runs the SVD stage after every batch of this many newly
-	// completed members ("a multiple of a set number of realizations").
+	// SVDBatch runs the SVD stage each time the admitted index prefix
+	// grows by this many members ("a multiple of a set number of
+	// realizations"). Convergence cancels the rest of the ensemble and
+	// the converging round's subspace is final: the paper's drain-and-use
+	// variant is not offered, because which members are still running
+	// at that instant depends on timing.
 	SVDBatch int
 	// Criterion is the subspace convergence test.
 	Criterion core.ConvergenceCriterion
 	// Workers is the number of concurrent forecast tasks (pool width).
 	Workers int
 	// Deadline bounds the wall-clock time of the whole ensemble (Tmax).
-	// Zero means no deadline. Members not finished by the deadline are
-	// ignored, per the paper.
+	// Zero means no deadline. Members not admitted by the deadline are
+	// ignored, per the paper; this is the only setting under which the
+	// Result depends on timing.
 	Deadline time.Duration
-	// Policy selects the convergence cancellation behaviour.
-	Policy DrainPolicy
 	// SigmaRelTol drops subspace modes below this fraction of σmax.
 	SigmaRelTol float64
 	// Retries is how many times a failed member is retried before its
@@ -84,7 +84,7 @@ type Config struct {
 	// reads back the safe file, exactly as the shell implementation did.
 	Store *covstore.Store
 	// OnProgress, when non-nil, is invoked from the coordinator after
-	// every member completion and SVD round with a progress snapshot —
+	// every member settles and every SVD round with a progress snapshot —
 	// the monitoring hook the shell implementation lacked ("no easy way
 	// for the user to monitor the progress of one's jobs", §5.3.1). The
 	// callback runs on the coordinator goroutine and must be fast.
@@ -116,7 +116,6 @@ func DefaultConfig() Config {
 		SVDBatch:     8,
 		Criterion:    core.DefaultConvergence(),
 		Workers:      4,
-		Policy:       CancelImmediately,
 		SigmaRelTol:  1e-8,
 		Retries:      1,
 	}
@@ -157,7 +156,9 @@ type Result struct {
 	MembersUsed int
 	// MembersFailed counts members abandoned after retries.
 	MembersFailed int
-	// MembersCancelled counts members cancelled by convergence/deadline.
+	// MembersCancelled counts target members neither used nor failed:
+	// cancelled by convergence, deadline or the caller, never started,
+	// or finished but not admitted before the run ended.
 	MembersCancelled int
 	// SVDRounds counts SVD/convergence stage executions.
 	SVDRounds int
@@ -196,9 +197,10 @@ type memberDone struct {
 }
 
 // RunParallel executes the parallel (Fig. 4) ESSE workflow: a pool of
-// Workers goroutines computes members concurrently; completions stream
-// through the diff accumulator; the SVD/convergence stage runs on batch
-// boundaries; the pool grows on convergence failure and is cancelled on
+// Workers goroutines computes members concurrently; completions are
+// admitted to the diff accumulator in member-index order as the settled
+// prefix advances; the SVD/convergence stage runs on batch boundaries of
+// that prefix; the pool grows on convergence failure and is cancelled on
 // success, deadline expiry, or external context cancellation.
 func RunParallel(ctx context.Context, cfg Config, central []float64, runner MemberRunner) (*Result, error) {
 	if err := cfg.validate(); err != nil {
@@ -231,14 +233,13 @@ func RunParallel(ctx context.Context, cfg Config, central []float64, runner Memb
 
 	var target atomic.Int64
 	target.Store(int64(cfg.InitialSize))
-	var launched atomic.Int64
 	targetChanged := make(chan struct{}, 1)
-	finished := make(chan struct{})
 
 	jobs := make(chan int)
 	results := make(chan memberDone, cfg.Workers*2)
 
-	// Dispatcher: hands out member indices up to the (growing) target.
+	// Dispatcher: hands out member indices up to the (growing) target
+	// until the run is cancelled.
 	go func() {
 		defer close(jobs)
 		next := 0
@@ -253,10 +254,7 @@ func RunParallel(ctx context.Context, cfg Config, central []float64, runner Memb
 				select {
 				case jobs <- next:
 					next++
-					launched.Store(int64(next))
 				case <-runCtx.Done():
-					return
-				case <-finished:
 					return
 				}
 				continue
@@ -264,8 +262,6 @@ func RunParallel(ctx context.Context, cfg Config, central []float64, runner Memb
 			select {
 			case <-targetChanged:
 			case <-runCtx.Done():
-				return
-			case <-finished:
 				return
 			}
 		}
@@ -306,18 +302,11 @@ func RunParallel(ctx context.Context, cfg Config, central []float64, runner Memb
 	res := &Result{Timeline: tl, PoolSizes: []int{cfg.InitialSize}, Central: acc.Central()}
 	var prev, cur *core.Subspace
 	lastSVD := 0
-	finishedClosed := false
-	finish := func() {
-		if !finishedClosed {
-			finishedClosed = true
-			close(finished)
-		}
-	}
 
 	runSVD := func() error {
 		// ctx (not runCtx) on purpose: runCtx is already cancelled when
-		// convergence fires, but the final SVD must still parent under
-		// the caller's span; SpanCtx uses the context only for lineage.
+		// the run ends, but the final SVD must still parent under the
+		// caller's span; SpanCtx uses the context only for lineage.
 		svdCtx, sp := tel.SpanCtx(ctx, "workflow", "svd", int64(res.SVDRounds), 0)
 		defer sp.End()
 		svdStart := time.Now()
@@ -348,18 +337,7 @@ func RunParallel(ctx context.Context, cfg Config, central []float64, runner Memb
 			res.Rho = rho
 			if ok {
 				res.Converged = true
-				switch cfg.Policy {
-				case CancelImmediately:
-					cancel()
-				case DrainAndUse:
-					// Stop dispatching beyond what is already launched.
-					target.Store(launched.Load())
-					gTarget.Set(float64(launched.Load()))
-					select {
-					case targetChanged <- struct{}{}:
-					default:
-					}
-				}
+				cancel()
 			}
 		}
 		prev = cur
@@ -382,70 +360,85 @@ func RunParallel(ctx context.Context, cfg Config, central []float64, runner Memb
 		})
 	}
 
-	var loopErr error
-	for done := range results {
-		switch {
-		case done.err == nil:
-			if err := acc.Add(done.index, done.state); err != nil {
-				loopErr = err
-				cancel()
-				finish()
-				continue
-			}
-			res.MembersUsed++
-			cMembersDone.Inc()
-			hMemberSec.Observe((done.end - done.start).Seconds())
-			tel.Emit("member", done.index, 0, telemetry.PhaseDone)
-			tl.Add(trace.SimulationTime, fmt.Sprintf("member-%d", done.index),
-				done.start.Seconds(), done.end.Seconds())
-		case errors.Is(done.err, context.Canceled) || errors.Is(done.err, context.DeadlineExceeded):
-			res.MembersCancelled++
-			cMembersCancelled.Inc()
-			tel.Emit("member", done.index, 0, telemetry.PhaseCancelled)
-			continue
-		default:
+	// settle folds the next member of the prefix into the result: a
+	// completion is admitted to the ensemble and may close an SVD batch;
+	// a failure is only counted.
+	settle := func(d memberDone) error {
+		if d.err != nil {
 			res.MembersFailed++
 			cMembersFailed.Inc()
-			tel.Emit("member", done.index, 0, telemetry.PhaseFailed)
+			tel.Emit("member", d.index, 0, telemetry.PhaseFailed)
+			return nil
 		}
+		if err := acc.Add(d.index, d.state); err != nil {
+			return err
+		}
+		res.MembersUsed++
+		cMembersDone.Inc()
+		hMemberSec.Observe((d.end - d.start).Seconds())
+		tel.Emit("member", d.index, 0, telemetry.PhaseDone)
+		tl.Add(trace.SimulationTime, fmt.Sprintf("member-%d", d.index),
+			d.start.Seconds(), d.end.Seconds())
+		if res.MembersUsed >= lastSVD+cfg.SVDBatch {
+			return runSVD()
+		}
+		return nil
+	}
 
-		if res.MembersUsed >= lastSVD+cfg.SVDBatch && !res.Converged {
-			if err := runSVD(); err != nil {
+	// held keeps completions that arrived beyond the settled prefix
+	// [0, settled). Once runCtx is done — convergence, deadline, the
+	// caller, the pool running out, or an error — nothing more settles,
+	// so a member that returns because it was cancelled stays held.
+	held := make(map[int]memberDone)
+	settled := 0
+	var loopErr error
+	for done := range results {
+		held[done.index] = done
+		for runCtx.Err() == nil {
+			d, ok := held[settled]
+			if !ok {
+				break
+			}
+			delete(held, settled)
+			settled++
+			if err := settle(d); err != nil {
 				loopErr = err
 				cancel()
-				finish()
-				continue
+				break
 			}
+			notify()
 		}
 
-		notify()
-
-		accounted := res.MembersUsed + res.MembersFailed
 		t := int(target.Load())
-		if accounted >= t && !res.Converged {
-			if t >= cfg.MaxSize {
-				finish() // out of budget: use what we have
-				continue
-			}
-			next := growTarget(t, &cfg)
-			target.Store(int64(next))
-			gTarget.Set(float64(next))
-			res.PoolSizes = append(res.PoolSizes, next)
-			select {
-			case targetChanged <- struct{}{}:
-			default:
-			}
-		} else if accounted >= t && res.Converged && cfg.Policy == DrainAndUse {
-			finish()
+		if settled < t || runCtx.Err() != nil {
+			continue
+		}
+		if t >= cfg.MaxSize {
+			cancel() // out of budget: use what we have
+			continue
+		}
+		next := growTarget(t, &cfg)
+		target.Store(int64(next))
+		gTarget.Set(float64(next))
+		res.PoolSizes = append(res.PoolSizes, next)
+		select {
+		case targetChanged <- struct{}{}:
+		default:
 		}
 	}
-	finish()
+	for idx := range held {
+		tel.Emit("member", idx, 0, telemetry.PhaseCancelled)
+	}
+	res.MembersCancelled = int(target.Load()) - res.MembersUsed - res.MembersFailed
+	cMembersCancelled.Add(uint64(res.MembersCancelled))
 	if loopErr != nil {
 		return nil, loopErr
 	}
 
-	// Final SVD if members arrived since the last one (drain policy,
-	// deadline leftovers, or non-aligned batch boundary).
+	// Final SVD over a prefix that ended between batch boundaries: the
+	// pool ran out, or the deadline or the caller cut the run short.
+	// After convergence nothing is admitted, so the converging round's
+	// subspace stands.
 	if acc.Len() >= 2 && (acc.Len() != lastSVD || cur == nil) {
 		if err := runSVD(); err != nil {
 			return nil, err

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -177,28 +178,6 @@ func TestConvergenceCancelsRemainingMembers(t *testing.T) {
 	}
 	if res.MembersUsed >= 200 {
 		t.Fatal("convergence did not stop the ensemble early")
-	}
-}
-
-func TestDrainAndUsePolicy(t *testing.T) {
-	truth := toySubspace(9, 30, 2)
-	cfg := quickConfig()
-	cfg.InitialSize = 100
-	cfg.MaxSize = 100
-	cfg.SVDBatch = 10
-	cfg.Policy = DrainAndUse
-	cfg.Criterion = core.ConvergenceCriterion{MinSimilarity: 0.2, MaxVarianceChange: 0.9}
-	res, err := RunParallel(context.Background(), cfg, make([]float64, 30),
-		toyRunner(truth, 10, time.Millisecond, 0, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("did not converge")
-	}
-	// Drain policy never cancels running members.
-	if res.MembersCancelled != 0 {
-		t.Fatalf("drain policy cancelled %d members", res.MembersCancelled)
 	}
 }
 
@@ -569,5 +548,107 @@ func TestSerialFailureTolerance(t *testing.T) {
 	}
 	if res.MembersFailed == 0 || res.Subspace == nil {
 		t.Fatalf("serial failure tolerance broken: failed=%d", res.MembersFailed)
+	}
+}
+
+// TestMemberOwnTimeoutIsAFailure: a member whose own work times out
+// (context.DeadlineExceeded while the run itself is live) is a failed
+// member like any other — it settles its index, so the prefix advances
+// and the run completes instead of waiting on it forever.
+func TestMemberOwnTimeoutIsAFailure(t *testing.T) {
+	truth := toySubspace(47, 20, 2)
+	cfg := quickConfig()
+	cfg.Retries = 0
+	cfg.InitialSize = 8
+	cfg.MaxSize = 8
+	cfg.Criterion = core.ConvergenceCriterion{MinSimilarity: 2}
+	inner := toyRunner(truth, 48, 0, 0, false)
+	runner := func(ctx context.Context, idx int) ([]float64, error) {
+		if idx == 3 {
+			return nil, context.DeadlineExceeded
+		}
+		return inner(ctx, idx)
+	}
+	res, err := RunParallel(context.Background(), cfg, make([]float64, 20), runner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MembersUsed != 7 || res.MembersFailed != 1 || res.MembersCancelled != 0 {
+		t.Fatalf("used/failed/cancelled = %d/%d/%d, want 7/1/0",
+			res.MembersUsed, res.MembersFailed, res.MembersCancelled)
+	}
+}
+
+// TestResultIndependentOfWorkers pins the admission rule: members finish
+// in scrambled order (index-dependent delays), some fail, the pool grows
+// and convergence cancels the rest, yet every science field of the
+// Result is bit-identical for any pool width.
+func TestResultIndependentOfWorkers(t *testing.T) {
+	truth := toySubspace(49, 30, 3)
+	inner := toyRunner(truth, 50, 0, 7, false) // every 7th member fails
+	runner := func(ctx context.Context, idx int) ([]float64, error) {
+		time.Sleep(time.Duration(idx*5%7) * 100 * time.Microsecond)
+		return inner(ctx, idx)
+	}
+	run := func(workers int) *Result {
+		cfg := quickConfig()
+		cfg.Retries = 0
+		cfg.InitialSize = 8
+		cfg.MaxSize = 64
+		cfg.SVDBatch = 4
+		cfg.Workers = workers
+		cfg.Criterion = core.ConvergenceCriterion{MinSimilarity: 0.99, MaxVarianceChange: 0.5}
+		res, err := RunParallel(context.Background(), cfg, make([]float64, 30), runner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(1)
+	if len(want.PoolSizes) < 2 || want.MembersFailed == 0 {
+		t.Fatalf("config exercises no growth or failure: pools %v, failed %d", want.PoolSizes, want.MembersFailed)
+	}
+	for _, workers := range []int{2, 8} {
+		got := run(workers)
+		if !slices.Equal(got.Subspace.Sigma, want.Subspace.Sigma) ||
+			!slices.Equal(got.Subspace.Modes.Data, want.Subspace.Modes.Data) ||
+			!slices.Equal(got.Mean, want.Mean) ||
+			!slices.Equal(got.Anomalies.Data, want.Anomalies.Data) ||
+			!slices.Equal(got.MemberIndices, want.MemberIndices) ||
+			!slices.Equal(got.PoolSizes, want.PoolSizes) ||
+			got.SVDRounds != want.SVDRounds || got.Rho != want.Rho || got.Converged != want.Converged ||
+			got.MembersFailed != want.MembersFailed {
+			t.Fatalf("Workers=%d differs from Workers=1: rounds %d vs %d, rho %v vs %v, pools %v vs %v, members %v vs %v",
+				workers, got.SVDRounds, want.SVDRounds, got.Rho, want.Rho, got.PoolSizes, want.PoolSizes,
+				got.MemberIndices, want.MemberIndices)
+		}
+	}
+}
+
+// TestCancelledIsTargetMinusSettled: once convergence stops the run,
+// every member of the final target that was neither used nor failed is
+// counted cancelled — including indices that were never dispatched and
+// completions that arrived beyond the admitted prefix.
+func TestCancelledIsTargetMinusSettled(t *testing.T) {
+	truth := toySubspace(51, 30, 2)
+	cfg := quickConfig()
+	cfg.InitialSize = 200
+	cfg.MaxSize = 200
+	cfg.SVDBatch = 10
+	cfg.Criterion = core.ConvergenceCriterion{MinSimilarity: 0.2, MaxVarianceChange: 0.9}
+	res, err := RunParallel(context.Background(), cfg, make([]float64, 30),
+		toyRunner(truth, 52, 0, 0, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatal("loose criterion did not converge")
+	}
+	if res.MembersUsed != res.SVDRounds*cfg.SVDBatch {
+		t.Fatalf("used %d members, want the converging prefix %d", res.MembersUsed, res.SVDRounds*cfg.SVDBatch)
+	}
+	if got := res.MembersUsed + res.MembersFailed + res.MembersCancelled; got != 200 {
+		t.Fatalf("used %d + failed %d + cancelled %d = %d, want the target 200",
+			res.MembersUsed, res.MembersFailed, res.MembersCancelled, got)
 	}
 }

@@ -25,6 +25,9 @@ go run ./cmd/esselint -audit -vet=false ./... >/dev/null
 echo "==> go test -race ./..."
 go test -race ./...
 
+echo "==> repro reproducibility (two seed-1 runs, wall-clock lines dropped)"
+./scripts/repro_diff.sh 1
+
 echo "==> telemetry smoke (mtc-sim /metrics scrape via promscrape)"
 ./scripts/smoke_metrics.sh
 
