@@ -140,43 +140,15 @@ func applyRankOneUpdate(gamma *linalg.Dense, h []float64, r float64, gh []float6
 
 // ExpectedReduction evaluates a whole candidate observation batch at
 // once: the exact expected total-variance reduction
-// tr(Γ HEᵀ (HE Γ HEᵀ + R)⁻¹ HE Γ) for the batch, matching what
-// core.Assimilate will deliver on average.
+// tr(Γ HEᵀ (HE Γ HEᵀ + R)⁻¹ HE Γ) for the batch. The posterior covariance
+// does not depend on the observed values, so it is the variance
+// core.Assimilate removes on a zero innovation.
 func ExpectedReduction(sub *core.Subspace, network core.ObsOperator) (float64, error) {
-	p := sub.Rank()
-	m := network.Len()
-	if m == 0 {
-		return 0, nil
+	an, err := core.Assimilate(make([]float64, sub.StateDim()), sub, network, make([]float64, network.Len()))
+	if err != nil {
+		return 0, fmt.Errorf("adaptive: %w", err)
 	}
-	he := network.ApplyHMat(sub.Modes) // m×p
-	rDiag := network.RDiag()
-	heg := linalg.NewDense(m, p) // HE Γ
-	for i := 0; i < m; i++ {
-		row := he.Row(i)
-		out := heg.Row(i)
-		for j := 0; j < p; j++ {
-			out[j] = row[j] * sub.Sigma[j] * sub.Sigma[j]
-		}
-	}
-	s := linalg.MulBT(heg, he)
-	for i := 0; i < m; i++ {
-		s.Set(i, i, s.At(i, i)+rDiag[i])
-	}
-	sInv, ok := linalg.InvertSPD(s)
-	if !ok {
-		return 0, fmt.Errorf("adaptive: singular innovation covariance")
-	}
-	// tr(Γ HEᵀ S⁻¹ HE Γ) = tr(S⁻¹ · (HE Γ)(HE Γ)ᵀ... ) — compute as
-	// tr(S⁻¹ · HEΓ²HEᵀ)? Careful: reduction = tr(ΓHEᵀ S⁻¹ HE Γ)
-	// = sum over modes of [HEΓ]ᵀ S⁻¹ [HEΓ] diagonal.
-	red := 0.0
-	col := make([]float64, m)
-	for j := 0; j < p; j++ {
-		heg.Col(col, j)
-		sc := linalg.MatVec(sInv, col)
-		red += linalg.Dot(col, sc)
-	}
-	return red, nil
+	return sub.TotalVariance() - an.Posterior.TotalVariance(), nil
 }
 
 // RankCandidatesByVariance is the naive baseline: sort candidates by

@@ -34,17 +34,29 @@ type Analysis struct {
 	InnovationNorm float64
 	// ResidualNorm is ‖y − Hx‖_R⁻¹ after the update.
 	ResidualNorm float64
+	// InnovationConsistency is dᵀS⁻¹d/m for the innovation d = y − Hx
+	// and its predicted covariance S = HEΓ(HE)ᵀ + R. It needs no truth:
+	// it is ≈ 1 on average when the forecast subspace and R account for
+	// the innovations, and well above 1 when the ensemble spread is too
+	// small for the misfit it has to explain.
+	InnovationConsistency float64
 }
 
 // Assimilate performs the ESSE minimum-error-variance (Kalman) update in
 // the error subspace. With forecast mean x, subspace (E, σ), point
-// measurement operator H, observations y and diagonal error covariance R:
+// measurement operator H, observations y and diagonal error covariance R,
+// the update is solved in whitened subspace coordinates:
 //
-//	Γ   = diag(σ²)                      (subspace covariance)
-//	HE  = H E                           (obsDim × p, by row gathering)
-//	S   = HE Γ HEᵀ + R                  (innovation covariance)
-//	K d = E Γ HEᵀ S⁻¹ (y − Hx)          (gain applied to innovation)
-//	Γa  = Γ − Γ HEᵀ S⁻¹ HE Γ            (posterior subspace covariance)
+//	d   = y − Hx,  d̃ = R^{-1/2} d        (whitened innovation)
+//	Z   = R^{-1/2} H E diag(σ)           (obsDim × p)
+//	C   = I + ZᵀZ = L Lᵀ                 (p × p, Cholesky; C ≥ I)
+//	xa  = x + E diag(σ) C⁻¹ Zᵀ d̃          (= x + K d)
+//	Γa  = diag(σ) C⁻¹ diag(σ)            (= Γ − Γ HEᵀ S⁻¹ HE Γ)
+//
+// which equals the textbook form with S = HE Γ HEᵀ + R, Γ = diag(σ²), but
+// costs O(obsDim·p² + p³) instead of O(obsDim³) and never inverts Γ, so
+// modes kept down to 1e-8·σmax (the workflow's SigmaRelTol) cannot make
+// the system singular.
 //
 // Γa is re-diagonalized (Γa = W Λ Wᵀ) and the posterior modes rotated to
 // Ea = E W so that the invariant "orthonormal modes, diagonal spectrum"
@@ -63,61 +75,34 @@ func Assimilate(x []float64, sub *Subspace, network ObsOperator, y []float64) (*
 		copy(mean, x)
 		return &Analysis{Mean: mean, Posterior: sub.Clone()}, nil
 	}
-
-	he := network.ApplyHMat(sub.Modes) // mObs × p
 	rDiag := network.RDiag()
-
-	// S = HE Γ HEᵀ + R.
-	heg := linalg.NewDense(mObs, p) // HE Γ
-	for i := 0; i < mObs; i++ {
-		row := he.Row(i)
-		out := heg.Row(i)
-		for j := 0; j < p; j++ {
-			out[j] = row[j] * sub.Sigma[j] * sub.Sigma[j]
-		}
-	}
-	s := linalg.MulBT(heg, he)
-	for i := 0; i < mObs; i++ {
-		s.Set(i, i, s.At(i, i)+rDiag[i])
+	rInvSqrt, err := whitening(rDiag)
+	if err != nil {
+		return nil, err
 	}
 
-	// Innovation d = y − Hx (diagnostics use the R⁻¹ weighting).
-	hx := network.ApplyH(x)
-	d := linalg.VecSub(y, hx)
-	innovationNorm := weightedNorm(d, rDiag)
-
-	sInv, ok := linalg.InvertSPD(s)
+	d := linalg.VecSub(y, network.ApplyH(x))
+	w, ok := whiten(network.ApplyHMat(sub.Modes), sub.Sigma, rInvSqrt, d)
 	if !ok {
 		return nil, fmt.Errorf("core: innovation covariance not positive definite (rank %d, %d obs)", p, mObs)
 	}
 
-	// Gain applied to innovation: K d = E Γ HEᵀ S⁻¹ d.
-	sid := linalg.MatVec(sInv, d)      // S⁻¹ d
-	ghesid := linalg.MatTVec(heg, sid) // Γ HEᵀ S⁻¹ d  (p)
-	incr := linalg.MatVec(sub.Modes, ghesid)
-
+	// M = L⁻¹ diag(σ), so Γa = MᵀM and diag(σ) C⁻¹ Zᵀd̃ = Mᵀ u.
+	m := linalg.NewDense(p, p)
+	col := make([]float64, p)
+	for j := 0; j < p; j++ {
+		col[j] = sub.Sigma[j]
+		m.SetCol(j, linalg.SolveLowerTri(w.l, col))
+		col[j] = 0
+	}
+	incr := linalg.MatVec(sub.Modes, linalg.MatTVec(m, w.u))
 	mean := make([]float64, len(x))
 	for i := range x {
 		mean[i] = x[i] + incr[i]
 	}
 
-	// Posterior subspace covariance Γa = Γ − Γ HEᵀ S⁻¹ HE Γ.
-	gheT := heg.T()                 // p × mObs  (Γ HEᵀ)
-	tmp := linalg.Mul(gheT, sInv)   // p × mObs
-	reduce := linalg.Mul(tmp, heg)  // p × p  (Γ HEᵀ S⁻¹ HE Γ)
-	gammaA := linalg.NewDense(p, p) // Γ − reduce
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			v := -reduce.At(i, j)
-			if i == j {
-				v += sub.Sigma[i] * sub.Sigma[i]
-			}
-			gammaA.Set(i, j, v)
-		}
-	}
-
-	// Re-diagonalize and rotate the modes.
-	eig := linalg.SymEig(gammaA)
+	// Re-diagonalize Γa = MᵀM and rotate the modes.
+	eig := linalg.SymEig(linalg.MulTA(m, m))
 	sigma := make([]float64, p)
 	for i, lam := range eig.Values {
 		if lam < 0 {
@@ -130,11 +115,64 @@ func Assimilate(x []float64, sub *Subspace, network ObsOperator, y []float64) (*
 	post := &Subspace{Modes: modes, Sigma: sigma}
 	res := linalg.VecSub(y, network.ApplyH(mean))
 	return &Analysis{
-		Mean:           mean,
-		Posterior:      post,
-		InnovationNorm: innovationNorm,
-		ResidualNorm:   weightedNorm(res, rDiag),
+		Mean:                  mean,
+		Posterior:             post,
+		InnovationNorm:        math.Sqrt(w.dNorm2),
+		ResidualNorm:          weightedNorm(res, rDiag),
+		InnovationConsistency: (w.dNorm2 - linalg.Dot(w.u, w.u)) / float64(mObs),
 	}, nil
+}
+
+// whitening validates a diagonal R and returns R^{-1/2}. Every variance
+// must be finite and strictly positive: a zero would put an infinite
+// weight on its observation and NaN into the analysis.
+func whitening(rDiag []float64) ([]float64, error) {
+	out := make([]float64, len(rDiag))
+	for i, r := range rDiag {
+		if !(r > 0) || math.IsInf(r, 1) {
+			return nil, fmt.Errorf("core: observation %d has error variance %v (want finite and > 0)", i, r)
+		}
+		out[i] = 1 / math.Sqrt(r)
+	}
+	return out, nil
+}
+
+// whitenedUpdate is the factored ESSE update shared by Assimilate and
+// SmoothPrevious: with Z = R^{-1/2} H X diag(w) for k columns X, the
+// k × k system C = I + ZᵀZ = L Lᵀ and the whitened innovation d̃.
+type whitenedUpdate struct {
+	l      *linalg.Dense // Cholesky factor of C (k × k)
+	u      []float64     // L⁻¹ Zᵀ d̃, so that C⁻¹ Zᵀ d̃ = L⁻ᵀ u
+	dNorm2 float64       // ‖d̃‖² = dᵀR⁻¹d
+}
+
+// whiten forms and factors the whitened subspace system for the observed
+// columns hx = H X (m × k), column weights w, R^{-1/2} and innovation d.
+// ok is false only if C fails to factor, which for finite inputs cannot
+// happen since C ≥ I.
+func whiten(hx *linalg.Dense, w, rInvSqrt, d []float64) (*whitenedUpdate, bool) {
+	z := linalg.NewDense(hx.Rows, hx.Cols)
+	dt := make([]float64, len(d))
+	for i := range dt {
+		row, out := hx.Row(i), z.Row(i)
+		for j, v := range row {
+			out[j] = rInvSqrt[i] * v * w[j]
+		}
+		dt[i] = rInvSqrt[i] * d[i]
+	}
+	c := linalg.MulTA(z, z)
+	for j := 0; j < c.Rows; j++ {
+		c.Set(j, j, c.At(j, j)+1)
+	}
+	l, ok := linalg.Cholesky(c)
+	if !ok {
+		return nil, false
+	}
+	return &whitenedUpdate{
+		l:      l,
+		u:      linalg.SolveLowerTri(l, linalg.MatTVec(z, dt)),
+		dNorm2: linalg.Dot(dt, dt),
+	}, true
 }
 
 // weightedNorm computes ‖v‖ in the R⁻¹ metric for diagonal R.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"esse/internal/linalg"
 )
@@ -19,7 +20,12 @@ import (
 //	K₀ = A₀ (H A₁)ᵀ [ (H A₁)(H A₁)ᵀ + (N−1) R ]⁻¹
 //
 // so  x₀ˢ = x₀ + K₀ d.  (The (N−1) factors cancel against the sample-
-// covariance normalization.)
+// covariance normalization.) It is solved in whitened member
+// coordinates, an N × N system in place of the obsDim × obsDim one:
+//
+//	d̃  = R^{-1/2} d,   Z = R^{-1/2} H A₁ / √(N−1)
+//	C  = I + ZᵀZ = L Lᵀ                      (Cholesky)
+//	K₀ d = A₀ C⁻¹ Zᵀ d̃ / √(N−1)
 
 // SmootherResult carries the smoothed earlier-time estimate.
 type SmootherResult struct {
@@ -54,25 +60,22 @@ func SmoothPrevious(x0 []float64, anoms0, anoms1 *linalg.Dense, network ObsOpera
 		return out, nil
 	}
 
-	ha1 := network.ApplyHMat(anoms1) // m × n
-	rDiag := network.RDiag()
-
-	// S = (HA₁)(HA₁)ᵀ + (N−1) R.
-	s := linalg.MulBT(ha1, ha1)
-	for i := 0; i < m; i++ {
-		s.Set(i, i, s.At(i, i)+float64(n-1)*rDiag[i])
+	rInvSqrt, err := whitening(network.RDiag())
+	if err != nil {
+		return nil, err
 	}
-
-	// Innovation uses the later-time ensemble mean implied by the
-	// caller: y must already be an innovation against x₁ when the caller
-	// wants the textbook form; we accept the raw innovation directly.
-	sInv, ok := linalg.InvertSPD(s)
+	// The caller passes the innovation against the later-time mean as y.
+	norm := 1 / math.Sqrt(float64(n-1))
+	scale := make([]float64, n)
+	for j := range scale {
+		scale[j] = norm
+	}
+	w, ok := whiten(network.ApplyHMat(anoms1), scale, rInvSqrt, y)
 	if !ok {
 		return nil, fmt.Errorf("core: smoother innovation covariance not positive definite")
 	}
-	sid := linalg.MatVec(sInv, y)    // S⁻¹ d
-	w := linalg.MatTVec(ha1, sid)    // (HA₁)ᵀ S⁻¹ d  (n)
-	incr := linalg.MatVec(anoms0, w) // A₀ … (stateDim)
+	coef := linalg.VecScale(norm, linalg.SolveUpperTri(w.l.T(), w.u)) // C⁻¹ Zᵀ d̃ / √(N−1)
+	incr := linalg.MatVec(anoms0, coef)                               // A₀ … (stateDim)
 	out.IncrementNorm = linalg.Norm2(incr)
 	for i := range out.Mean {
 		out.Mean[i] += incr[i]

@@ -210,25 +210,3 @@ func solveCholeskyTInto(x []float64, l *Dense, y []float64) []float64 {
 	}
 	return x
 }
-
-// InvertSPD returns the inverse of a symmetric positive-definite matrix.
-func InvertSPD(a *Dense) (*Dense, bool) {
-	n := a.Rows
-	inv := NewDense(n, n)
-	l, ok := Cholesky(a)
-	if !ok {
-		return nil, false
-	}
-	e := make([]float64, n)
-	y := make([]float64, n)
-	x := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		solveLowerTriInto(y, l, e)
-		inv.SetCol(j, solveCholeskyTInto(x, l, y))
-	}
-	return inv, true
-}

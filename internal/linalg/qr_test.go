@@ -139,20 +139,6 @@ func TestSolveSPD(t *testing.T) {
 	}
 }
 
-func TestInvertSPD(t *testing.T) {
-	s := rng.New(16)
-	b := randomDense(s, 4, 4)
-	a := MulTA(b, b)
-	AddInPlace(a, Identity(4))
-	inv, ok := InvertSPD(a)
-	if !ok {
-		t.Fatal("InvertSPD failed")
-	}
-	if !Mul(a, inv).EqualApprox(Identity(4), 1e-9) {
-		t.Fatal("A * A⁻¹ != I")
-	}
-}
-
 func BenchmarkQR64(b *testing.B) {
 	s := rng.New(1)
 	a := randomDense(s, 64, 64)

@@ -126,6 +126,10 @@ type CycleResult struct {
 	Ensemble *workflow.Result
 	// InnovationNorm / ResidualNorm are the assimilation diagnostics.
 	InnovationNorm, ResidualNorm float64
+	// InnovationConsistency is the truth-free filter-health statistic
+	// dᵀS⁻¹d/m (≈ 1 when the forecast subspace explains the innovations;
+	// see core.Analysis).
+	InnovationConsistency float64
 	// Observations is the batch size.
 	Observations int
 	// AdaptiveCasts lists the (i, j) locations of adaptively planned
@@ -414,14 +418,15 @@ func (s *System) RunCycle(ctx context.Context) (*CycleResult, error) {
 	forecastMean := s.scaler.FromScaled(nil, ens.Mean)
 	analysisMean := s.scaler.FromScaled(nil, an.Mean)
 	res := &CycleResult{
-		Cycle:          k,
-		RMSEForecastT:  s.rmseT(forecastMean, truthState),
-		RMSEAnalysisT:  s.rmseT(analysisMean, truthState),
-		Ensemble:       ens,
-		InnovationNorm: an.InnovationNorm,
-		ResidualNorm:   an.ResidualNorm,
-		Observations:   network.Len(),
-		AdaptiveCasts:  castLocs,
+		Cycle:                 k,
+		RMSEForecastT:         s.rmseT(forecastMean, truthState),
+		RMSEAnalysisT:         s.rmseT(analysisMean, truthState),
+		Ensemble:              ens,
+		InnovationNorm:        an.InnovationNorm,
+		ResidualNorm:          an.ResidualNorm,
+		InnovationConsistency: an.InnovationConsistency,
+		Observations:          network.Len(),
+		AdaptiveCasts:         castLocs,
 	}
 
 	if s.Cfg.Smooth {
@@ -456,6 +461,8 @@ func (s *System) RunCycle(ctx context.Context) (*CycleResult, error) {
 		Set(res.RMSEForecastT)
 	tel.Gauge("esse_realtime_rmse_temperature", "Temperature RMSE against truth for the last cycle.", "stage", "analysis").
 		Set(res.RMSEAnalysisT)
+	tel.Gauge("esse_realtime_innovation_consistency", "Truth-free filter health d^T S^-1 d / m of the last cycle innovation (near 1 when consistent).").
+		Set(res.InnovationConsistency)
 	tel.Emit("cycle", k, 0, telemetry.PhaseDone)
 	return res, nil
 }

@@ -2,9 +2,11 @@ package realtime
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"esse/internal/core"
+	"esse/internal/telemetry"
 	"esse/internal/trace"
 )
 
@@ -81,6 +83,31 @@ func TestRunCycleProducesDiagnostics(t *testing.T) {
 	}
 	if res.Observations != sys.Network.Len() {
 		t.Fatal("observation count mismatch")
+	}
+}
+
+func TestCycleExportsInnovationConsistency(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Telemetry = telemetry.New()
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.RunCycle(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := res.InnovationConsistency
+	if !(c > 0) || math.IsInf(c, 0) {
+		t.Fatalf("innovation consistency = %v, want finite and > 0", c)
+	}
+	// dᵀS⁻¹d ≤ dᵀR⁻¹d since S ≥ R.
+	if m := float64(res.Observations); c > res.InnovationNorm*res.InnovationNorm/m*(1+1e-12) {
+		t.Fatalf("consistency %v exceeds the R-weighted bound %v", c, res.InnovationNorm*res.InnovationNorm/m)
+	}
+	g := cfg.Telemetry.Gauge("esse_realtime_innovation_consistency", "")
+	if g.Value() != c {
+		t.Fatalf("gauge = %v, want the cycle's %v", g.Value(), c)
 	}
 }
 

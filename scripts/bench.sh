@@ -13,7 +13,8 @@
 #                                 widen its tolerance to this machine's
 #                                 own repetition spread
 #   scripts/bench.sh -time-linalg wall-time gate over the curated
-#                                 stable linalg kernels only — the
+#                                 stable linalg kernels and the ESSE
+#                                 assimilation update only — the
 #                                 compute-bound benchmarks whose ns/op
 #                                 is reproducible enough to gate in CI
 #                                 (the full suite stays allocation-only;
@@ -24,7 +25,7 @@ cd "$(dirname "$0")/.."
 
 # The curated subset for -time-linalg: single-package, compute-bound,
 # no scheduler or I/O in the timed loop.
-linalg_stable='^(MulSmall|MulLargeParallel|LUSolve64|QR64|SVDEnsembleShape|SymEig32)$'
+linalg_stable='^(MulSmall|MulLargeParallel|LUSolve64|QR64|SVDEnsembleShape|SymEig32|AssimilateObsDense)$'
 
 mode="${1:-}"
 tmp="$(mktemp)"
@@ -38,12 +39,17 @@ case "$mode" in
     ;;
 -time-linalg)
     count=3
-    bench_pkgs=./internal/linalg/
+    bench_pkgs='./internal/linalg/ ./internal/core/'
     ;;
 esac
 
-echo "==> go test -bench=. -benchtime=1x -benchmem -count=$count $bench_pkgs"
-go test -run='^$' -bench=. -benchtime=1x -benchmem -count="$count" "$bench_pkgs" | tee "$tmp"
+# One go test per package pattern: a single multi-package invocation
+# compiles the next test binary while the previous one's benchmarks run,
+# which skews the timed ones on a small machine.
+for pkg in $bench_pkgs; do
+    echo "==> go test -bench=. -benchtime=1x -benchmem -count=$count $pkg"
+    go test -run='^$' -bench=. -benchtime=1x -benchmem -count="$count" "$pkg"
+done | tee "$tmp"
 
 case "$mode" in
 -update)
